@@ -46,7 +46,8 @@ def _sweep(workload):
                                   cache_pages=capacity))
         index.build(workload.data)
         for tree in index.trees:
-            tree.tree.pool.clear()
+            if tree.cache is not None:
+                tree.cache.clear()
         total_reads = total_hits = 0
         results = []
         for query in workload.queries:

@@ -1,8 +1,9 @@
 """Ablation — bulk-load vs incremental-insert RDB-tree construction.
 
 Algo. 1 builds each RDB-tree from key-sorted entries (bulk load: every page
-written exactly once, sequentially).  Sec. 3.6's update path inserts one
-entry at a time through standard B+-tree splits.  This ablation measures
+written exactly once, sequentially).  The classic alternative inserts one
+entry at a time through standard B+-tree splits (built here as a node
+``BPlusTree`` with the same leaf order).  This ablation measures
 what bulk loading buys at construction time — and verifies both builds
 answer queries identically, which is what makes the Sec. 3.6 update story
 safe.
@@ -16,8 +17,10 @@ import numpy as np
 import pytest
 
 from benchmarks.common import emit, start_report
+from repro.btree import BPlusTree
 from repro.core.rdbtree import RDBTree
 from repro.hilbert import HilbertCurve
+from repro.storage import BytesCodec, UIntCodec
 
 BENCH = "ablation_build_mode"
 N = 3000
@@ -58,11 +61,19 @@ def _compare(entries):
     bulk_seconds = time.perf_counter() - started
     bulk_writes = bulk_tree.stats.page_writes
 
+    # The same entries through Sec. 3.6-style one-at-a-time B+-tree
+    # inserts (node pages, splits) with the RDB-tree's leaf order.
     started = time.perf_counter()
-    incremental_tree = RDBTree(curve, M)
+    record_dtype = bulk_tree.record_dtype
+    incremental_tree = BPlusTree(
+        UIntCodec(curve.key_bytes), BytesCodec(record_dtype.itemsize),
+        leaf_capacity_override=bulk_tree.leaf_order)
     for index in range(N):
-        incremental_tree.insert(int(keys[index]), int(ids[index]),
-                                ref[index])
+        record = np.empty(1, dtype=record_dtype)
+        record["id"], record["ref"] = ids[index], ref[index]
+        incremental_tree.insert(
+            incremental_tree.key_codec.encode(int(keys[index])),
+            record.tobytes())
     incremental_seconds = time.perf_counter() - started
     incremental_writes = incremental_tree.stats.page_writes
 
@@ -71,7 +82,11 @@ def _compare(entries):
     for probe_index in range(0, N, N // 7):
         probe = int(keys[probe_index])
         bulk_ids, _ = bulk_tree.candidates(probe, 25)
-        incremental_ids, _ = incremental_tree.candidates(probe, 25)
+        nearest = incremental_tree.nearest(
+            incremental_tree.key_codec.encode(probe), 25)
+        incremental_ids = np.frombuffer(
+            b"".join(value for _, value in nearest),
+            dtype=record_dtype)["id"]
         bulk_key_dists = sorted(abs(int(keys[i]) - probe) for i in bulk_ids)
         incr_key_dists = sorted(abs(int(keys[i]) - probe)
                                 for i in incremental_ids)

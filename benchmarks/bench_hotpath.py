@@ -44,6 +44,7 @@ from benchmarks.common import (
     start_report,
 )
 from repro.core import HDIndex, load_index, save_index
+from repro.core.rdbtree import node_oracle
 
 BENCH = "hotpath"
 N = 4000
@@ -59,33 +60,36 @@ TARGET_SPEEDUP = 5.0
 def scalar_oracle_ids(index: HDIndex, queries: np.ndarray,
                       k: int) -> list[np.ndarray]:
     """Algo. 2 through the scalar kernels: per-point ``encode``, node-path
-    ``nearest``, per-tree filter calls.  The packed mirrors are detached
-    for the duration, so every batched kernel is bypassed."""
+    ``BPlusTree.nearest`` over each tree's :func:`node_oracle`, per-tree
+    filter calls — every batched kernel is bypassed.  Trees are the
+    outer loop, so only one oracle tree is alive at a time."""
     engine = index._engine
     ptolemaic = index.params.use_ptolemaic
     alpha, beta, gamma = index._effective_sizes(k, None, None, None,
                                                 ptolemaic)
-    saved = [tree.tree._packed for tree in index.trees]
-    for tree in index.trees:
-        tree.tree._packed = None
-    try:
-        rows = []
-        for point in queries:
-            query_ref = index.references.distances_from(point)[0]
-            survivors = []
-            for tree, part in zip(index.trees, index.partitions):
-                coords = index.quantizer.quantize(point[part])
-                key = int(tree.curve.encode(coords))
-                cand_ids, cand_ref = tree.candidates(key, alpha)
-                survivors.append(engine.filter_survivors(
-                    query_ref, cand_ids, cand_ref, beta, gamma, ptolemaic))
-            merged = engine._merge_survivors(survivors)
-            ids, _ = engine.rerank(point, merged, k)
-            rows.append(np.asarray(ids, dtype=np.int64))
-        return rows
-    finally:
-        for tree, packed in zip(index.trees, saved):
-            tree.tree._packed = packed
+    query_refs = [index.references.distances_from(point)[0]
+                  for point in queries]
+    survivors: list[list[np.ndarray]] = [[] for _ in queries]
+    for tree, part in zip(index.trees, index.partitions):
+        oracle = node_oracle(tree)
+        for row, point in enumerate(queries):
+            coords = index.quantizer.quantize(point[part])
+            key = oracle.key_codec.encode(int(tree.curve.encode(coords)))
+            values = [value for _, value in oracle.nearest(key, alpha)]
+            records = np.frombuffer(b"".join(values),
+                                    dtype=tree.record_dtype,
+                                    count=len(values))
+            survivors[row].append(engine.filter_survivors(
+                query_refs[row], records["id"].astype(np.int64),
+                records["ref"].astype(np.float64), beta, gamma,
+                ptolemaic))
+        del oracle
+    rows = []
+    for point, tree_survivors in zip(queries, survivors):
+        merged = engine._merge_survivors(tree_survivors)
+        ids, _ = engine.rerank(point, merged, k)
+        rows.append(np.asarray(ids, dtype=np.int64))
+    return rows
 
 
 def _query_ids(index: HDIndex, queries: np.ndarray, k: int

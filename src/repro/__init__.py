@@ -162,7 +162,7 @@ __all__ = [
 ]
 
 # Opt-in runtime invariant sanitizer (REPRO_SANITIZE=1): cross-checks
-# the packed-tree read path against the node path, IOStats balance,
+# the packed RDB-trees against a node B+-tree oracle, IOStats balance,
 # buffer-pool eviction accounting, and write-protects zero-copy mmap
 # views.  The env guard keeps repro.devtools entirely unimported on the
 # normal path.

@@ -1,31 +1,30 @@
-"""Packed-array read path for bulk-built B+-trees.
+"""Packed-array B+-tree layout: the RDB-tree's one storage form.
 
-The node-based read path (:mod:`repro.btree.tree`) materialises a
+The node-based B+-tree (:mod:`repro.btree.tree`) materialises a
 ``LeafNode``/``InternalNode`` object per visited page and walks Python
-generators entry by entry — faithful to the disk layout, but the dominant
-per-query cost once the filter kernels are vectorised.  This module holds a
-*packed* mirror of a bulk-built tree: every key and value in one contiguous
-sorted array, plus the leaf/internal page geometry, so
+generators entry by entry.  A :class:`PackedTree` holds the same tree as
+contiguous arrays instead: every key and value in one sorted array, plus
+the leaf/internal page geometry, so
 
 * descent is ``np.searchsorted`` over the per-leaf minimum keys,
 * :meth:`BPlusTree.nearest`'s bidirectional merge is a rank computation
   over two sorted distance windows, and
 * range scans slice the arrays directly.
 
-The packed mirror is an **accelerator, not a second source of truth**: it
-is built from exactly the bytes bulk-loading wrote (or a counted
-``repack()`` walk re-reads), results are byte-identical to the node path,
-and the I/O accounting is *synthesised* — :meth:`nearest_positions` and
-:meth:`range_entries` replay, against :class:`~repro.storage.stats.IOStats`,
-precisely the page-read sequence the node path would have issued, so the
-paper's I/O figures are unchanged.  Because the synthetic trace models
-uncached reads, callers only activate the packed path when the buffer pool
-is disabled (``cache_pages == 0`` — the paper's measurement methodology),
-exactly like :meth:`repro.storage.vectors.VectorHeapFile.gather`.
+Every RDB-tree *is* one immutable packed segment
+(:mod:`repro.core.rdbtree`), persisted as one ``tree_<i>.packed`` file
+via :func:`repro.storage.codecs.pack_arrays`; an mmap reopen maps it
+zero-copy, so a process pool shares one physical copy.  Node B+-trees
+(the baselines, the test oracle) capture a packed copy while bulk
+loading and use it as a read accelerator.
 
-Arrays serialise through :func:`repro.storage.codecs.pack_arrays` into a
-``tree_<i>.packed`` snapshot sidecar; an mmap reopen maps them zero-copy,
-so a process pool shares one physical copy across workers.
+The I/O accounting is *synthesised*: :meth:`nearest_positions` and
+:meth:`range_entries` replay, against :class:`~repro.storage.stats.IOStats`
+(or any sink with ``record_read_many``), precisely the page-read
+sequence the node layout would have issued, so the paper's I/O figures
+are those of the disk-resident tree.  Answers and traces are
+byte-identical to a node B+-tree bulk-loaded from the same entries
+(:func:`repro.core.rdbtree.node_oracle`).
 """
 
 from __future__ import annotations
@@ -53,7 +52,7 @@ def supports_packing(codec: Codec) -> bool:
 
 
 class PackedTree:
-    """Contiguous-array mirror of one bulk-built B+-tree.
+    """One B+-tree as contiguous arrays.
 
     Parameters
     ----------
@@ -62,7 +61,7 @@ class PackedTree:
     keys_raw / values_raw:
         ``(n, key_width)`` / ``(n, value_width)`` uint8 arrays holding every
         entry in global key order — the exact bytes stored in the leaves.
-        May be read-only views over an mmap'd sidecar.
+        May be read-only views over an mmap'd tree file.
     leaf_starts:
         ``(L + 1,)`` prefix array: leaf ``l`` holds entries
         ``[leaf_starts[l], leaf_starts[l + 1])``.

@@ -248,8 +248,8 @@ class BPlusTree:
     def insert(self, key: bytes, value: bytes) -> None:
         """Insert one entry (duplicates allowed), splitting as needed.
 
-        Invalidates the packed mirror; call :meth:`repack` to rebuild it
-        once a batch of inserts has settled.
+        Drops the packed mirror (the arrays cannot absorb a page split);
+        the tree answers through its nodes from then on.
         """
         if len(key) != self.key_width or len(value) != self.value_width:
             raise ValueError("entry width does not match codecs")
@@ -423,12 +423,6 @@ class BPlusTree:
         """The packed mirror, whether or not it is currently active."""
         return self._packed
 
-    def attach_packed(self, packed: PackedTree | None) -> None:
-        """Adopt a deserialized packed mirror (snapshot load path)."""
-        if packed is not None and packed.count != self._count:
-            raise ValueError("packed layout does not match tree entry count")
-        self._packed = packed
-
     def _active_packed(self) -> PackedTree | None:
         """The packed mirror, when usable.
 
@@ -454,54 +448,6 @@ class BPlusTree:
         if count <= 0 or self._root == NO_PAGE:
             return np.empty(0, dtype=np.int64)
         return packed.nearest_positions(key, count, self.stats)
-
-    def repack(self) -> bool:
-        """Rebuild the packed mirror by walking the tree top-down.
-
-        :meth:`insert` drops the mirror (the packed arrays cannot absorb a
-        page split); once a batch of inserts has settled, this re-reads the
-        whole tree — every page access is counted I/O — and re-attaches it.
-        Returns ``True`` when a mirror is attached afterwards.
-        """
-        self._packed = None
-        if self._root == NO_PAGE or not supports_packing(self.key_codec):
-            return False
-        level: list[int] = [self._root]
-        level_pages: list[list[int]] = []
-        level_starts: list[list[int]] = []
-        for _ in range(self._height - 1):
-            children: list[int] = []
-            child_starts = [0]
-            for page_id in level:
-                node = self._read_node(page_id)
-                if not isinstance(node, InternalNode):
-                    raise RuntimeError(f"page {page_id} is not internal")
-                children.extend(node.children)
-                child_starts.append(len(children))
-            level_pages.append(level)
-            level_starts.append(child_starts)
-            level = children
-        key_buffer = bytearray()
-        value_buffer = bytearray()
-        leaf_starts = [0]
-        for page_id in level:
-            node = self._read_leaf(page_id)
-            for key in node.keys:
-                key_buffer += key
-            for value in node.values:
-                value_buffer += value
-            leaf_starts.append(leaf_starts[-1] + len(node))
-        keys_raw = np.frombuffer(bytes(key_buffer), dtype=np.uint8)
-        values_raw = np.frombuffer(bytes(value_buffer), dtype=np.uint8)
-        self._packed = PackedTree(
-            self.key_codec,
-            keys_raw.reshape(self._count, self.key_width),
-            values_raw.reshape(self._count, self.value_width),
-            np.asarray(leaf_starts, dtype=np.int64),
-            np.asarray(level, dtype=np.int64),
-            [np.asarray(pages, dtype=np.int64) for pages in level_pages],
-            [np.asarray(starts, dtype=np.int64) for starts in level_starts])
-        return True
 
     # -- scan generators ---------------------------------------------------
 

@@ -122,8 +122,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "files straight into --out (no copy at save)")
     build.add_argument("--wal", action="store_true",
                        help="record inserts/deletes in a write-ahead log "
-                            "next to the snapshot (online updates without "
-                            "full resyncs; fold with `repro compact`)")
+                            "next to the snapshot (durable online updates; "
+                            "fold with `repro compact`)")
     build.add_argument("--from-hdf5", default=None, metavar="PATH:DATASET",
                        help="stream the dataset block-wise from an HDF5 "
                             "file (e.g. ann-benchmarks corpora: "

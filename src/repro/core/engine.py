@@ -227,21 +227,6 @@ class QueryEngine:
 
     # -- stage (i): RDB-tree candidate retrieval --------------------------
 
-    def scan_tree(self, tree, part: np.ndarray, point: np.ndarray,
-                  alpha: int, key: int | bytes | None = None
-                  ) -> tuple[np.ndarray, np.ndarray]:
-        """α nearest entries by Hilbert key in one tree (Algo. 2 line 4).
-
-        ``key`` may be precomputed — as an int or the encoder's raw
-        big-endian bytes (batch paths encode all queries' keys per tree in
-        one pass); otherwise the point's sub-vector is quantised and
-        encoded here.
-        """
-        if key is None:
-            coords = self.index.quantizer.quantize(point[part])[None, :]
-            key = tree.curve.encode_batch_bytes(coords)[0].tobytes()
-        return tree.candidates(key, alpha)
-
     def scan_many(self, tree_indices: Sequence[int], points: np.ndarray,
                   query_ref: np.ndarray, alpha: int, beta: int, gamma: int,
                   ptolemaic: bool, eligible: np.ndarray | None = None
@@ -254,8 +239,8 @@ class QueryEngine:
         and a single batched lower-bound evaluation over the concatenated
         candidate matrix of all (tree, query) segments — no per-candidate
         Python loop anywhere.  Returns, per tree, one survivor-id array per
-        query row; results are byte-identical to per-tree
-        :meth:`scan_tree` + :meth:`filter_survivors` calls.
+        query row; results are byte-identical to per-(tree, row)
+        ``RDBTree.candidates`` + :meth:`filter_survivors` calls.
 
         ``eligible`` is the predicate-pushdown bitmap (bool per base
         object): candidates failing it are dropped *here*, before the

@@ -147,7 +147,7 @@ def _already_persisted(index: HDIndex | ShardRouter,
                 and index.params.storage_dir is not None
                 and os.path.abspath(index.params.storage_dir) == target)
     return (getattr(index, "_remote", False)
-            and not index._snapshot_dirty
+            and not index._has_delta()
             and index.snapshot_dir is not None
             and os.path.abspath(index.snapshot_dir) == target)
 
@@ -176,10 +176,10 @@ def open_index(path: str | os.PathLike[str],
             (``"sequential"``/``"thread"``/``"process"``).  This is how a
             snapshot built sequentially is served process-parallel
             without rebuilding.
-        wal: Online-update override (:mod:`repro.wal`) — ``True`` forces
-            WAL mode, ``False`` the legacy mark-dirty/resync write path,
-            ``None`` honours the snapshot's recorded policy (with WAL
-            state on disk, or process execution, turning it on).
+        wal: Write-ahead-log override (:mod:`repro.wal`) — ``True``
+            attaches the log, ``False`` attaches none, ``None`` honours
+            the snapshot's recorded policy (with WAL state on disk, or
+            process execution, turning it on).
 
     Returns:
         A ready-to-query :class:`~repro.core.hdindex.HDIndex` or

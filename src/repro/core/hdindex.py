@@ -51,13 +51,13 @@ class HDIndex(KNNIndex):
 
     With a *remote* (process) executor the index must live on disk
     (``params.storage_dir``): :meth:`build` persists the snapshot the
-    worker processes bootstrap from.  Online updates then flow through
-    the write-ahead log (:mod:`repro.wal`): :meth:`insert` appends one
-    log frame and lands in an in-memory delta segment searched beside
-    the base snapshot — the snapshot is never rewritten and the pool is
-    never restarted on the write path.  :meth:`compact` folds the delta
-    into a new generation and hot-swaps to it.  (``Execution(wal=False)``
-    restores the legacy mark-dirty/resync behaviour.)
+    worker processes bootstrap from.  Every :meth:`insert` lands in an
+    in-memory delta segment searched exactly beside the RDB-trees; a
+    disk-backed index with a write-ahead log (:mod:`repro.wal`) also
+    appends one log frame.  The trees, heap and snapshot are never
+    touched on the write path.  :meth:`compact` folds the delta into
+    the trees — publishing a new generation and hot-swapping to it when
+    a log is attached.
 
     >>> import numpy as np
     >>> from repro import HDIndex, HDIndexParams
@@ -85,10 +85,9 @@ class HDIndex(KNNIndex):
         self._build_stats = BuildStats()
         self._query_stats = QueryStats()
         self._distance_counter = DistanceCounter()
-        self._snapshot_dirty = False
-        # Online-update state (repro.wal): the log handle and delta
-        # segment exist only while WAL mode is active; _wal_policy is
-        # the three-state Execution.wal knob (None = auto).
+        # Online-update state: the delta segment holds un-folded inserts;
+        # the log handle exists only while a write-ahead log is attached;
+        # _wal_policy is the three-state Execution.wal knob (None = auto).
         self.generation = 0
         self._wal = None
         self._delta = None
@@ -165,7 +164,6 @@ class HDIndex(KNNIndex):
                 "attach_snapshot is only meaningful with a process "
                 "executor; this index runs scans in-process")
         self._engine.executor.snapshot_dir = os.fspath(directory)
-        self._snapshot_dirty = False
 
     @property
     def snapshot_dir(self) -> str | None:
@@ -175,46 +173,43 @@ class HDIndex(KNNIndex):
             return None
         return self._engine.executor.snapshot_dir
 
-    def _sync_snapshot(self) -> None:
-        if not self._remote or not self._snapshot_dirty:
-            return
-        from repro.core.persistence import save_index
-        save_index(self, self.snapshot_dir or self.params.storage_dir)
-        self._engine.executor.pool.reset()
-        self._snapshot_dirty = False
-
     # -- online updates (repro.wal) ---------------------------------------
 
     def _wal_active(self) -> bool:
-        """True when inserts/deletes flow through the write-ahead log
-        instead of mutating the built structures in place."""
+        """True when inserts/deletes are (to be) logged to a write-ahead
+        log beside the snapshot."""
         if self._wal is not None:
             return True
         if self._wal_policy is not None:
             return self._wal_policy
         return self._remote
 
-    def _ensure_wal(self) -> None:
-        if self._wal is None:
+    def _log(self):
+        """The write-ahead log mutations are recorded in — attached on
+        first use when the policy asks for one — or ``None``."""
+        if self._wal is None and self._wal_active():
             from repro.wal.manager import enable_wal
             enable_wal(self)
+        return self._wal
+
+    def _ensure_delta(self):
+        if self._delta is None:
+            from repro.wal.delta import DeltaSegment
+            self._delta = DeltaSegment(len(self.heap), self.dim,
+                                       self.heap.dtype)
+        return self._delta
 
     def _delta_insert(self, vector: np.ndarray, metadata=None) -> int:
         """Apply one insert to the delta segment only — the router's
         (and replay's) entry point, which never logs here because the
         record already lives in the owning log."""
-        vector = np.asarray(vector, dtype=np.float64).ravel()
-        if vector.shape[0] != self.dim:
-            raise ValueError(
-                f"vector has dimension {vector.shape[0]}, "
-                f"expected {self.dim}")
-        if self._delta is None:
-            from repro.wal.delta import DeltaSegment
-            self._delta = DeltaSegment(len(self.heap), self.dim,
-                                       self.heap.dtype)
-        object_id = self._delta.append(vector, metadata)
+        object_id = self._ensure_delta().append(vector, metadata)
         self.count += 1
         return object_id
+
+    def _has_delta(self) -> bool:
+        """Whether un-folded inserts are pending."""
+        return self._delta is not None and len(self._delta) > 0
 
     def _deleted_ids(self) -> np.ndarray:
         """Stable array snapshot of the deleted-id set (safe against a
@@ -226,28 +221,54 @@ class HDIndex(KNNIndex):
                                count=len(self._deleted))
 
     def compact(self) -> int:
-        """Fold the WAL delta into a new snapshot generation, publish it
-        via the ``CURRENT`` pointer, truncate the log, and adopt the new
+        """Fold the delta segment into the RDB-trees and the heap.
+
+        With a write-ahead log the fold runs on a copy: it is written as
+        a new snapshot generation, published via the ``CURRENT``
+        pointer, the log is truncated, and this index adopts the new
         generation in place (re-binding a process pool to it without
-        cancelling in-flight work).
+        cancelling in-flight work).  Without a log the fold happens in
+        place — one batch merge per tree — and a process pool is
+        re-bound to a re-saved snapshot.
 
         Returns:
-            The new generation number.
-
-        Raises:
-            RuntimeError: If the index has no write-ahead log (built
-                with ``Execution(wal=False)``, or memory-backed).
+            The generation number now live (unchanged by a fold in
+            place).
         """
         self._require_built()
-        if not self._wal_active():
-            raise RuntimeError(
-                "compact() requires WAL-mode updates; build with "
-                "Execution(wal=True) or process execution")
-        self._ensure_wal()
-        from repro.wal.manager import compact_index
-        generation = compact_index(self)
-        self._adopt_current()
-        return generation
+        if self._log() is not None:
+            from repro.wal.manager import compact_index
+            generation = compact_index(self)
+            self._adopt_current()
+            return generation
+        if self._has_delta():
+            self._fold_delta()
+            if self._remote:
+                from repro.core.persistence import save_index
+                save_index(self, self.snapshot_dir
+                           or self.params.storage_dir)
+                self._engine.executor.pool.reset()
+        return self.generation
+
+    def _fold_delta(self) -> None:
+        """Move every delta row into the heap, the metadata store and
+        each RDB-tree (one batch merge per tree).  Reference distances are
+        computed row by row, so the folded float32 distances do not
+        depend on the batch size."""
+        with self._update_lock:  # no insert may slip in mid-fold
+            records = self._delta.records()
+            vectors = np.stack([vector for _, vector, _ in records])
+            object_ids = self.heap.append_batch(vectors)
+            reference_distances = np.concatenate(
+                [self.references.distances_from(row) for row in vectors])
+            quantized = self.quantizer.quantize(vectors)
+            for tree, part in zip(self.trees, self.partitions):
+                tree.insert(
+                    tree.curve.encode_batch_bytes(quantized[:, part]),
+                    object_ids, reference_distances)
+            if self.metadata is not None:
+                self.metadata.append_rows([meta for _, _, meta in records])
+            self._delta = None
 
     def _adopt_current(self) -> None:
         """Reload the published generation and transplant its structures
@@ -257,7 +278,7 @@ class HDIndex(KNNIndex):
         root = self._wal_root
         fresh = load_index(root, cache_pages=self.params.cache_pages,
                            backend=self.params.resolved_backend)
-        old_trees, old_heap, old_wal = self.trees, self.heap, self._wal
+        old_heap, old_wal = self.heap, self._wal
         with self._update_lock:
             self.params = fresh.params
             self.trees = fresh.trees
@@ -273,7 +294,6 @@ class HDIndex(KNNIndex):
             self._wal = fresh._wal
             self._delta = fresh._delta
             self._wal_root = fresh._wal_root
-            self._snapshot_dirty = False
         # The transplant keeps *this* object's executor: a process pool
         # swaps to the new generation directory, letting in-flight
         # futures finish against the old workers.
@@ -282,23 +302,18 @@ class HDIndex(KNNIndex):
             self._engine.executor.pool.swap(self.params.storage_dir)
         if old_wal is not None and old_wal is not self._wal:
             old_wal.close()
-        # Retire (don't close) the superseded structures: concurrent
-        # readers that resolved ``self.heap``/``self.trees`` just before
-        # the transplant may still be mid-gather on them.  One retired
-        # generation is kept live — the same window the on-disk pruning
-        # grants — and closed at the *next* swap (or at close()).
+        # Retire (don't close) the superseded heap: concurrent readers
+        # that resolved ``self.heap`` just before the transplant may
+        # still be mid-gather on it.  One retired generation is kept
+        # live — the same window the on-disk pruning grants — and
+        # closed at the *next* swap (or at close()).
         self._close_retired()
-        self._retired = (old_trees, old_heap)
+        self._retired = old_heap
 
     def _close_retired(self) -> None:
         retired, self._retired = getattr(self, "_retired", None), None
-        if retired is None:
-            return
-        old_trees, old_heap = retired
-        for tree in old_trees:
-            tree.tree.pool.store.close()
-        if old_heap is not None:
-            old_heap.close()
+        if retired is not None:
+            retired.close()
 
     # -- construction (Algo. 1) -------------------------------------------
 
@@ -369,7 +384,7 @@ class HDIndex(KNNIndex):
             dim, params.num_trees, params.partition_scheme, rng)
         self.trees = []
         object_ids = np.arange(n, dtype=np.int64)
-        for tree_index, part in enumerate(self.partitions):
+        for part in self.partitions:
             curve = HilbertCurve(len(part), params.hilbert_order)
             coords = self.quantizer.quantize(data[:, part])
             keys = curve.encode_batch_bytes(coords)
@@ -378,12 +393,14 @@ class HDIndex(KNNIndex):
                 reference_distances.nbytes + self.references.memory_bytes()
                 + coords.nbytes + n * curve.key_bytes)
             tree = RDBTree(curve, params.num_references,
-                           store=self._make_store(f"tree_{tree_index}"),
                            cache_pages=params.cache_pages,
                            page_size=params.page_size)
             tree.bulk_build(keys, object_ids, reference_distances)
             self.trees.append(tree)
+        self._finish_build(started, peak_memory)
 
+    def _finish_build(self, started: float, peak_memory: int,
+                      **extra) -> None:
         self._build_stats = BuildStats(
             time_sec=time.perf_counter() - started,
             page_writes=sum(t.stats.page_writes for t in self.trees)
@@ -392,6 +409,7 @@ class HDIndex(KNNIndex):
             extra={
                 "leaf_orders": [t.leaf_order for t in self.trees],
                 "tree_heights": [t.height for t in self.trees],
+                **extra,
             },
         )
         if self._remote:
@@ -518,7 +536,7 @@ class HDIndex(KNNIndex):
             dim, params.num_trees, params.partition_scheme, rng)
         self.trees = []
         object_ids = np.arange(n, dtype=np.int64)
-        for tree_index, part in enumerate(self.partitions):
+        for part in self.partitions:
             curve = HilbertCurve(len(part), params.hilbert_order)
             key_parts = []
             for start in range(0, n, step):
@@ -532,27 +550,11 @@ class HDIndex(KNNIndex):
                 reference_distances.nbytes + self.references.memory_bytes()
                 + keys.nbytes + step * len(part) * 8)
             tree = RDBTree(curve, params.num_references,
-                           store=self._make_store(f"tree_{tree_index}"),
                            cache_pages=params.cache_pages,
                            page_size=params.page_size)
             tree.bulk_build(keys, object_ids, reference_distances)
             self.trees.append(tree)
-
-        self._build_stats = BuildStats(
-            time_sec=time.perf_counter() - started,
-            page_writes=sum(t.stats.page_writes for t in self.trees)
-            + self.heap.stats.page_writes,
-            peak_memory_bytes=peak_memory,
-            extra={
-                "leaf_orders": [t.leaf_order for t in self.trees],
-                "tree_heights": [t.height for t in self.trees],
-                "streamed": True,
-            },
-        )
-        if self._remote:
-            from repro.core.persistence import save_index
-            save_index(self, self.params.storage_dir)
-            self.attach_snapshot(self.params.storage_dir)
+        self._finish_build(started, peak_memory, streamed=True)
 
     def _stream_block(self, start: int, stop: int) -> np.ndarray:
         """Float64 heap rows [start, stop) for the streaming build's
@@ -610,7 +612,6 @@ class HDIndex(KNNIndex):
         self._require_built()
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        self._sync_snapshot()
         ids, dists, self._query_stats = self._engine.run(
             point, k, alpha=alpha, beta=beta, gamma=gamma,
             use_ptolemaic=use_ptolemaic, predicate=predicate)
@@ -634,7 +635,6 @@ class HDIndex(KNNIndex):
         self._require_built()
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        self._sync_snapshot()
         ids, dists, self._query_stats = self._engine.run_batch(
             points, k, alpha=alpha, beta=beta, gamma=gamma,
             use_ptolemaic=use_ptolemaic, predicate=predicate)
@@ -645,6 +645,10 @@ class HDIndex(KNNIndex):
     def insert(self, vector: np.ndarray, metadata=None) -> int:
         """Insert a new object; the reference set is kept as-is (Sec. 3.6).
 
+        The object becomes an exact delta row until :meth:`compact` (or
+        ``save_index`` without a log) folds it into the RDB-trees; an
+        attached write-ahead log records it first.
+
         Args:
             vector: ``(ν,)`` descriptor to add (unit-normalised when
                 ``params.metric="angular"``).
@@ -652,8 +656,8 @@ class HDIndex(KNNIndex):
                 was built with metadata (same columns).
 
         Returns:
-            The new object's id (appended to the heap file, so ids stay
-            dense and persist across save/load).
+            The new object's id (dense: the next id after the heap file
+            and earlier inserts, so ids persist across save/load).
 
         Raises:
             ValueError: If the vector's dimensionality does not match,
@@ -668,29 +672,12 @@ class HDIndex(KNNIndex):
         if self.params.metric == "angular":
             require_normalized(vector[None, :], "vector")
         self._check_insert_metadata(metadata)
-        if self._wal_active():
-            # One log frame + an in-memory delta row; the built trees,
-            # heap and (for process execution) the workers' snapshot are
-            # untouched, so no resync or pool restart ever follows.
-            self._ensure_wal()
-            with self._update_lock:
-                object_id = self._delta.next_id
-                self._wal.append_insert(object_id, vector,
-                                        metadata=metadata)
-                self._delta.append(vector, metadata)
-                self.count += 1
-            self._bump_update_epoch()
-            return object_id
-        object_id = self.heap.append(vector)
-        reference_distances = self.references.distances_from(vector)[0]
-        for tree, part in zip(self.trees, self.partitions):
-            coords = self.quantizer.quantize(vector[part])[None, :]
-            key = int(tree.curve.encode_batch(coords)[0])
-            tree.insert(key, object_id, reference_distances)
-        if self.metadata is not None:
-            self.metadata.append_rows([metadata])
-        self.count += 1
-        self._snapshot_dirty = True
+        log = self._log()
+        with self._update_lock:
+            if log is not None:
+                log.append_insert(self._ensure_delta().next_id, vector,
+                                  metadata=metadata)
+            object_id = self._delta_insert(vector, metadata)
         self._bump_update_epoch()
         return object_id
 
@@ -722,14 +709,11 @@ class HDIndex(KNNIndex):
         self._require_built()
         if not 0 <= object_id < self.count:
             raise ValueError(f"unknown object id {object_id}")
-        if self._wal_active():
-            self._ensure_wal()
-            with self._update_lock:
-                self._wal.append_delete(int(object_id))
-                self._deleted.add(int(object_id))
-            self._bump_update_epoch()
-            return
-        self._deleted.add(int(object_id))
+        log = self._log()
+        with self._update_lock:
+            if log is not None:
+                log.append_delete(int(object_id))
+            self._deleted.add(int(object_id))
         self._bump_update_epoch()
 
     # -- accounting ----------------------------------------------------
@@ -862,8 +846,6 @@ class HDIndex(KNNIndex):
         if self._wal is not None:
             self._wal.close()
         self._close_retired()
-        for tree in self.trees:
-            tree.tree.pool.store.close()
         if self.heap is not None:
             self.heap.close()
 

@@ -78,9 +78,10 @@ class HDIndexParams:
     storage_dtype:
         dtype of the descriptor heap file.
     storage_dir:
-        When set, the descriptor heap and every RDB-tree are backed by real
-        files in this directory (``descriptors.pages``, ``tree_<i>.pages``)
-        instead of in-memory page stores — the fully disk-resident mode.
+        When set, the descriptor heap is backed by a real file in this
+        directory (``descriptors.pages``) instead of an in-memory page
+        store, and :func:`~repro.core.persistence.save_index` writes the
+        RDB-trees beside it (one ``tree_<i>.packed`` segment each).
         The process-parallel tier (``Execution(kind="process")`` in an
         :class:`~repro.core.spec.IndexSpec`, or
         ``QueryService(execution=...)``) requires it: worker processes
@@ -88,7 +89,8 @@ class HDIndexParams:
         so the OS shares the physical pages pool-wide), never from
         pickled live state.
     backend:
-        Storage backend for the page stores: ``"memory"``
+        Storage backend for the heap's page store (and how saved tree
+        segments are reopened): ``"memory"``
         (:class:`~repro.storage.pages.InMemoryPageStore`), ``"file"``
         (:class:`~repro.storage.pages.FilePageStore`, seek/read copies) or
         ``"mmap"`` (:class:`~repro.storage.pages.MmapPageStore`, zero-copy

@@ -1,9 +1,9 @@
 """Save/load a built index of the HD-Index family to/from a directory.
 
-A persisted plain index is a directory containing:
+A persisted plain index (format 2) is a directory containing:
 
 * ``meta.json`` — parameters, partitions, quantiser domain, per-tree
-  structural state (root page / height / count), heap record count, the
+  state (curve geometry and entry count), heap record count, the
   deleted-id set, plus the index's full declarative ``spec`` (topology +
   execution, :mod:`repro.core.spec`) and a legacy ``kind`` tag
   (``hdindex``/``parallel``/``process``) so snapshots stay readable both
@@ -11,7 +11,15 @@ A persisted plain index is a directory containing:
 * ``references.npz`` — the reference vectors, their pairwise distances and
   original indices (the only part of the index that is memory-resident at
   query time, Sec. 4.4.1);
-* ``descriptors.pages`` and ``tree_<i>.pages`` — the page files.
+* ``descriptors.pages`` — the descriptor heap's page file;
+* ``tree_<i>.packed`` — one file per RDB-tree: its packed segment (sorted
+  keys, leaf records and page geometry, :func:`pack_arrays` container);
+* ``metadata.packed`` — the per-point metadata columns, when built with
+  metadata.
+
+Format-1 snapshots also hold a ``tree_<i>.pages`` node file per tree;
+they still open when every tree has its ``tree_<i>.packed`` file (the
+node files are never read, and the next save removes them).
 
 A persisted :class:`~repro.core.router.ShardRouter` is a directory
 containing a ``manifest.json`` (shard count, global-id layout, base
@@ -19,7 +27,7 @@ parameters, spec) plus one ``shard_<s>/`` subdirectory per shard, each of
 which is a plain persisted index as above — the "build offline, serve
 online" split, with every shard deployable to its own machine.
 
-Loading re-opens the page files and reconstructs the exact tree structure
+Loading re-opens the heap's page file and maps the tree segments
 without touching the data — the disk-resident story end to end: build once,
 reopen and query on a machine that never holds the dataset in RAM.
 :func:`load_index` reconstructs the *spec* the snapshot records (mapping
@@ -34,11 +42,13 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import struct
 
 import numpy as np
 
 from repro.core.hdindex import HDIndex
 from repro.core.params import HDIndexParams
+from repro.core.rdbtree import RDBTree
 from repro.core.reference import ReferenceSet
 from repro.core.spec import (
     EXECUTION_TO_KIND,
@@ -48,7 +58,6 @@ from repro.core.spec import (
     make_executor,
     params_from_dict,
 )
-from repro.btree.packed import PackedTree
 from repro.hilbert.quantize import GridQuantizer
 from repro.meta import MetadataStore
 from repro.storage.codecs import pack_arrays, unpack_arrays
@@ -58,7 +67,8 @@ from repro.storage.vectors import VectorHeapFile
 META_FILE = "meta.json"
 MANIFEST_FILE = "manifest.json"
 REFERENCES_FILE = "references.npz"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+READABLE_FORMATS = (1, 2)  # 1 also held node pages; see module docstring
 
 
 class PersistenceError(RuntimeError):
@@ -75,19 +85,22 @@ def save_index(index, directory: str | os.PathLike[str]) -> None:
     :func:`load_index` reconstructs the same deployment.
 
     If the index was built with ``storage_dir`` pointing at ``directory``,
-    the page files are already in place and only metadata is written
-    (file and mmap backends alike — mmap stores are flushed and trimmed);
-    otherwise every page store is copied out to files.  Saving is
-    idempotent over the same directory: save -> load -> ``insert()`` /
-    ``delete()`` -> save again keeps the snapshot consistent.
+    the descriptor page file is already in place (file and mmap backends
+    alike — mmap stores are flushed and trimmed); otherwise it is copied
+    out.  Each RDB-tree is written as one ``tree_<i>.packed`` file.  An
+    index without a write-ahead log folds pending inserts first (see
+    :meth:`HDIndex.compact`).  Saving is idempotent over the same
+    directory: save -> load -> ``insert()`` / ``delete()`` -> save again
+    keeps the snapshot consistent.
 
     Args:
         index: A **built** member of the HD-Index family.
         directory: Destination directory (created if missing).
 
     Raises:
-        PersistenceError: If ``index`` is not a family member, or it is
-            file-backed somewhere other than ``directory``.
+        PersistenceError: If ``index`` is not a family member, it is
+            file-backed somewhere other than ``directory``, or it holds
+            inserts its write-ahead log has not compacted yet.
         RuntimeError: If the index has not been built.
 
     >>> import numpy as np, tempfile
@@ -141,11 +154,13 @@ def load_index(directory: str | os.PathLike[str],
             indexes).  ``None`` honours the backend the snapshot was
             built with when that was ``"file"``/``"mmap"``, else
             ``"file"``.  Results are byte-identical across backends.
-        wal: Online-update override — ``True`` forces WAL mode,
-            ``False`` forces the legacy mark-dirty/resync write path,
-            ``None`` honours the snapshot's recorded
-            ``Execution(wal=...)`` policy (auto-detecting WAL state on
-            disk, and defaulting process execution to WAL mode).
+        wal: Write-ahead-log override — ``True`` attaches (and replays)
+            the log, ``False`` attaches none (inserts still land in the
+            delta segment, but are durable only once folded by
+            ``compact()`` or ``save_index``), ``None`` honours the
+            snapshot's recorded ``Execution(wal=...)`` policy
+            (auto-detecting WAL state on disk, and defaulting process
+            execution to a log).
 
     Returns:
         A ready-to-query :class:`HDIndex` (executor reconstructed from
@@ -155,7 +170,9 @@ def load_index(directory: str | os.PathLike[str],
 
     Raises:
         PersistenceError: If the directory is not a valid snapshot, the
-            format version is unsupported, or ``backend`` is unknown.
+            format version is unsupported, a ``tree_<i>.packed`` file is
+            missing, truncated, corrupt or disagrees with ``meta.json``,
+            or ``backend`` is unknown.
     """
     directory = os.fspath(directory)
     if backend not in (None, "memory", "file", "mmap"):
@@ -185,18 +202,20 @@ def load_index(directory: str | os.PathLike[str],
 
 def _save_hdindex(index: HDIndex, directory: str) -> None:
     index._require_built()
-    if getattr(index, "_delta", None) is not None and len(index._delta):
-        raise PersistenceError(
-            "index holds un-compacted WAL delta entries; call compact() "
-            "to fold them into a snapshot generation before save_index()")
+    if index._has_delta():
+        if index._wal_active():
+            raise _uncompacted_error()
+        index.compact()
     os.makedirs(directory, exist_ok=True)
 
     _materialise_store(index.heap.pool.store, directory, "descriptors",
                        index.params.page_size)
     for tree_index, tree in enumerate(index.trees):
-        _materialise_store(tree.tree.pool.store, directory,
-                           f"tree_{tree_index}", index.params.page_size)
-        _write_packed_sidecar(tree, directory, tree_index)
+        _write_file(os.path.join(directory, f"tree_{tree_index}.packed"),
+                    pack_arrays(tree.packed.to_arrays()))
+        stale = os.path.join(directory, f"tree_{tree_index}.pages")
+        if os.path.exists(stale):  # format-1 node pages
+            os.remove(stale)
 
     references = index.references
     np.savez(os.path.join(directory, REFERENCES_FILE),
@@ -240,7 +259,7 @@ def _load_hdindex(directory: str, cache_pages: int | None,
         raise PersistenceError(f"{directory} has no {META_FILE}")
     with open(meta_path) as handle:
         meta = json.load(handle)
-    if meta.get("format_version") != FORMAT_VERSION:
+    if meta.get("format_version") not in READABLE_FORMATS:
         raise PersistenceError(
             f"unsupported index format {meta.get('format_version')!r}")
 
@@ -274,19 +293,10 @@ def _load_hdindex(directory: str, cache_pages: int | None,
         cache_pages=params.cache_pages)
     index.heap.restore_count(int(meta["heap"]["count"]))
 
-    from repro.core.rdbtree import RDBTree
-    index.trees = []
-    for tree_index, tree_state in enumerate(meta["trees"]):
-        store = _open_store(
-            os.path.join(directory, f"tree_{tree_index}.pages"),
-            params.page_size, backend)
-        tree = RDBTree.from_state(
-            store, tree_state, cache_pages=params.cache_pages,
-            page_size=params.page_size)
-        _attach_packed_sidecar(
-            tree, os.path.join(directory, f"tree_{tree_index}.packed"),
-            backend)
-        index.trees.append(tree)
+    index.trees = [
+        _load_tree(os.path.join(directory, f"tree_{tree_index}.packed"),
+                   tree_state, params, backend)
+        for tree_index, tree_state in enumerate(meta["trees"])]
     # One construction path for every execution kind: realise the spec's
     # executor.  A process executor binds to this very directory (its
     # worker processes bootstrap from the snapshot, never from the live
@@ -308,6 +318,41 @@ def _restore_execution(meta: dict) -> Execution:
     if execution_kind is None:
         raise PersistenceError(f"unknown index kind {kind!r}")
     return Execution(kind=execution_kind, workers=meta.get("num_workers"))
+
+
+def _load_tree(path: str, state: dict, params: HDIndexParams,
+               backend: str) -> RDBTree:
+    """Open one ``tree_<i>.packed`` segment — under the mmap backend as
+    zero-copy views of the mapping, so worker processes opening the same
+    snapshot share one physical copy.  Never reads a page."""
+    try:
+        if backend == "mmap":
+            buffer = np.memmap(path, dtype=np.uint8, mode="r")
+        else:
+            buffer = np.fromfile(path, dtype=np.uint8)
+        return RDBTree.from_arrays(state, unpack_arrays(buffer),
+                                   cache_pages=params.cache_pages,
+                                   page_size=params.page_size)
+    except (OSError, ValueError, TypeError, KeyError, IndexError,
+            struct.error) as error:
+        raise PersistenceError(
+            f"RDB-tree file {path} is missing, truncated, corrupt or "
+            f"disagrees with {META_FILE}: {error}") from error
+
+
+def _write_file(path: str, data: bytes) -> None:
+    """Replace ``path`` through a temporary file: readers still mapping
+    the old file keep its contents."""
+    tmp = path + ".tmp"
+    with open(tmp, "wb") as handle:
+        handle.write(data)
+    os.replace(tmp, path)
+
+
+def _uncompacted_error() -> PersistenceError:
+    return PersistenceError(
+        "index holds un-compacted WAL delta entries; call compact() "
+        "to fold them into a snapshot generation before save_index()")
 
 
 def _resolve_backend(backend: str | None, params_dict: dict) -> str:
@@ -358,13 +403,16 @@ def _shard_dir(directory: str, shard_index: int) -> str:
 
 def _save_sharded(index, directory: str) -> None:
     index._require_built()
+    if index._wal is not None and any(shard._has_delta()
+                                      for shard in index.shards):
+        raise _uncompacted_error()
     os.makedirs(directory, exist_ok=True)
     for shard_index, shard in enumerate(index.shards):
         shard_directory = _shard_dir(directory, shard_index)
         if _shard_snapshot_is_current(shard, shard_directory):
             # A remote (process-execution) shard persisted itself at
-            # build/resync time; its pages, metadata and references are
-            # already exactly what _save_hdindex would write.
+            # build/compaction time; its files are already exactly what
+            # _save_hdindex would write.
             continue
         _save_hdindex(shard, shard_directory)
     _write_manifest(index, directory)
@@ -407,15 +455,15 @@ def _write_manifest(index, directory: str) -> None:
 def _shard_snapshot_is_current(shard, shard_directory: str) -> bool:
     """True when a shard already holds a clean self-persisted snapshot
     at exactly ``shard_directory`` (remote shards save themselves on
-    build and on insert-resync).
+    build and on compaction).
 
-    Inserts flip ``_snapshot_dirty``; deletes deliberately do not (the
-    parent-side survivor merge filters them at query time), so the
+    Pending delta inserts make it stale; deletes live only in memory
+    (the parent-side survivor merge filters them at query time), so the
     recorded deleted set and count are checked against live state — a
     delete since the last self-persist forces a real re-save.
     """
     if not (getattr(shard, "_remote", False)
-            and not getattr(shard, "_snapshot_dirty", True)
+            and not shard._has_delta()
             and shard.snapshot_dir is not None
             and os.path.abspath(shard.snapshot_dir)
             == os.path.abspath(shard_directory)):
@@ -435,7 +483,7 @@ def _load_sharded(directory: str, cache_pages: int | None,
     from repro.core.router import ShardRouter
     with open(os.path.join(directory, MANIFEST_FILE)) as handle:
         manifest = json.load(handle)
-    if manifest.get("format_version") != FORMAT_VERSION:
+    if manifest.get("format_version") not in READABLE_FORMATS:
         raise PersistenceError(
             f"unsupported index format {manifest.get('format_version')!r}")
     if manifest.get("kind") != "sharded":
@@ -483,45 +531,7 @@ def _load_sharded(directory: str, cache_pages: int | None,
     return index
 
 
-# -- packed-layout sidecars -------------------------------------------------
-
-
-def _write_packed_sidecar(tree, directory: str, tree_index: int) -> None:
-    """Persist (or clear) one RDB-tree's packed-array mirror.
-
-    The mirror serialises to a ``tree_<i>.packed`` file next to the page
-    file.  A tree whose mirror was invalidated (post-``insert``, not yet
-    ``repack()``-ed) gets any stale sidecar removed, so a reload falls back
-    to the node path instead of reading wrong positions.
-    """
-    path = os.path.join(directory, f"tree_{tree_index}.packed")
-    packed = tree.tree.packed_layout
-    if packed is None:
-        if os.path.exists(path):
-            os.remove(path)
-        return
-    with open(path, "wb") as handle:
-        handle.write(pack_arrays(packed.to_arrays()))
-
-
-def _attach_packed_sidecar(tree, path: str, backend: str) -> None:
-    """Re-attach a packed mirror from its snapshot sidecar, if present.
-
-    Only the sidecar file is touched — never the page store, so reopening
-    records zero page reads.  Under the mmap backend the arrays are
-    zero-copy views of the mapping: worker processes opening the same
-    snapshot share one physical copy of the packed keys and records.
-    """
-    if not os.path.exists(path):
-        return
-    if backend == "mmap":
-        buffer = np.memmap(path, dtype=np.uint8, mode="r")
-    else:
-        buffer = np.fromfile(path, dtype=np.uint8)
-    packed = PackedTree.from_arrays(tree.tree.key_codec,
-                                    unpack_arrays(buffer))
-    if packed.count == len(tree.tree):
-        tree.tree.attach_packed(packed)
+# -- metadata sidecar ---------------------------------------------------------
 
 
 METADATA_FILE = "metadata.packed"
@@ -530,7 +540,7 @@ METADATA_FILE = "metadata.packed"
 def _write_metadata_sidecar(index, directory: str) -> None:
     """Persist (or clear) the per-point metadata columns.
 
-    Same RPAK container as the packed-tree sidecars: one
+    Same RPAK container as the tree segments: one
     ``metadata.packed`` file holding every typed column, loaded zero-copy
     on the mmap backend so a process pool's workers share the physical
     pages with the parent."""
@@ -539,8 +549,7 @@ def _write_metadata_sidecar(index, directory: str) -> None:
         if os.path.exists(path):
             os.remove(path)
         return
-    with open(path, "wb") as handle:
-        handle.write(index.metadata.to_packed())
+    _write_file(path, index.metadata.to_packed())
 
 
 def _load_metadata_sidecar(directory: str,

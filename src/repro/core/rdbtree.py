@@ -9,19 +9,30 @@ only the final κ survivors cost a random descriptor fetch.
 
 The leaf order Ω follows Eq. (4) exactly (see
 :func:`repro.core.params.rdb_leaf_order`).
+
+Each tree is one immutable packed segment
+(:class:`~repro.btree.packed.PackedTree`): :meth:`RDBTree.bulk_build`
+sorts the entries once and lays out the leaf and internal pages a
+bulk-loaded B+-tree would write; :meth:`RDBTree.insert` merges a batch of
+new entries into a fresh segment.  No node pages are ever written.
+Queries slice the arrays and account the page trace of the node layout
+(through an LRU of page ids when ``cache_pages > 0``), and
+:func:`node_oracle` rebuilds that node B+-tree for cross-checks.
 """
 
 from __future__ import annotations
 
-import struct
-
 import numpy as np
 
+from repro.btree.node import internal_capacity, leaf_capacity
+from repro.btree.packed import PackedTree
 from repro.btree.tree import BPlusTree
 from repro.core.params import rdb_leaf_order
 from repro.hilbert.butz import HilbertCurve
-from repro.storage.codecs import BytesCodec, UIntCodec
-from repro.storage.pages import DEFAULT_PAGE_SIZE, InMemoryPageStore, PageStore
+from repro.storage.buffer import TraceCache
+from repro.storage.codecs import BytesCodec, Codec, UIntCodec
+from repro.storage.pages import DEFAULT_PAGE_SIZE
+from repro.storage.stats import IOStats
 
 
 class RDBTree:
@@ -33,34 +44,48 @@ class RDBTree:
         The partition's Hilbert curve (fixes key width η·ω bits).
     num_references:
         m — reference distances stored per leaf entry.
-    store:
-        Backing page store (private in-memory store by default).
     cache_pages:
-        Buffer-pool capacity (0 = caching off).
+        Buffer-pool capacity in pages (0 = caching off, the paper's
+        methodology).
+    page_size:
+        Page size of the node layout (fixes Ω and the fan-out).
     """
 
     def __init__(self, curve: HilbertCurve, num_references: int,
-                 store: PageStore | None = None, cache_pages: int = 0,
+                 cache_pages: int = 0,
                  page_size: int = DEFAULT_PAGE_SIZE) -> None:
         self.curve = curve
         self.num_references = num_references
+        self.page_size = page_size
         self.leaf_order = rdb_leaf_order(
             curve.dim, curve.order, num_references, page_size)
-        key_codec = UIntCodec(curve.key_bytes)
-        self._record = struct.Struct(f">Q{num_references}f")
-        #: Vectorised view of the same layout for batch decoding.
-        self._record_dtype = np.dtype(
+        self._key_codec = UIntCodec(curve.key_bytes)
+        #: Leaf record layout: the descriptor pointer, then the m
+        #: reference distances.
+        self.record_dtype = np.dtype(
             [("id", ">u8"), ("ref", ">f4", (num_references,))])
-        value_codec = BytesCodec(self._record.size)
-        if store is None:
-            store = InMemoryPageStore(page_size)
-        self.tree = BPlusTree(
-            key_codec, value_codec, store=store, cache_pages=cache_pages,
-            leaf_capacity_override=self.leaf_order, page_size=page_size)
-        self._key_codec = key_codec
-        # (packed layout, ids int64, ref-distance view) — rebuilt whenever
-        # the tree's packed mirror changes identity.
-        self._records_cache: tuple | None = None
+        key_width = curve.key_bytes
+        value_width = self.record_dtype.itemsize
+        self.leaf_capacity = min(self.leaf_order, leaf_capacity(
+            page_size, key_width, value_width))
+        self._fanout = internal_capacity(page_size, key_width) + 1
+        if self.leaf_capacity < 1 or self._fanout < 3:
+            raise ValueError(
+                f"page size {page_size} cannot hold a "
+                f"({key_width}+{value_width})-byte entry or an internal "
+                f"node")
+        self.stats = IOStats()
+        #: LRU of page ids the read trace replays through (``None`` when
+        #: caching is off).
+        self.cache = (TraceCache(self.stats, cache_pages)
+                      if cache_pages > 0 else None)
+        self._sink = self.stats if self.cache is None else self.cache
+        #: The current segment; replaced whole (never mutated), so a
+        #: concurrent reader sees either the old tree or the new one.
+        self.packed = bulk_layout(
+            self._key_codec, np.empty((0, key_width), dtype=np.uint8),
+            np.empty((0, value_width), dtype=np.uint8), self.leaf_capacity,
+            self._fanout)
 
     # -- construction ------------------------------------------------------
 
@@ -70,96 +95,123 @@ class RDBTree:
 
         ``keys`` are Hilbert keys — either Python ints or, from
         :meth:`HilbertCurve.encode_batch_bytes`, an already-encoded
-        ``(n, key_bytes)`` uint8 matrix (the fast path: no per-key
-        ``int.to_bytes``).  ``object_ids`` are the pointers into the
-        descriptor heap, ``reference_distances`` the (n, m) matrix
-        restricted to these objects.  Entries are sorted by key here.
+        ``(n, key_bytes)`` uint8 matrix.  ``object_ids`` are the pointers
+        into the descriptor heap, ``reference_distances`` the (n, m)
+        matrix restricted to these objects.  Entries are sorted by key
+        here (stable, so equal keys keep input order).
         """
-        raw_keys = None
-        if isinstance(keys, np.ndarray) and keys.dtype == np.uint8 \
-                and keys.ndim == 2:
-            if keys.shape[1] != self._key_codec.width:
-                raise ValueError(
-                    f"raw keys must be {self._key_codec.width} bytes wide, "
-                    f"got {keys.shape[1]}")
-            raw_keys = np.ascontiguousarray(keys)
-        else:
-            keys = np.asarray(keys, dtype=object)
+        if len(self):
+            raise RuntimeError("bulk_build requires an empty tree")
+        raw_keys, values = self._entries(keys, object_ids,
+                                         reference_distances)
+        self._publish(raw_keys, values)
+
+    def insert(self, keys, object_ids, reference_distances) -> None:
+        """Merge new entries into the tree (Sec. 3.6 updates).
+
+        Takes one entry (a key, an id, an ``(m,)`` distance row) or a
+        batch in :meth:`bulk_build`'s form, and replaces the segment with
+        a freshly laid-out one.  The sort is stable with the new entries
+        after the existing ones, so each lands after every equal key
+        already present, in input order — the order one-at-a-time
+        B+-tree inserts give.
+        """
+        packed = self.packed
+        raw_keys, values = self._entries(
+            keys, np.atleast_1d(object_ids),
+            np.atleast_2d(np.asarray(reference_distances)))
+        self._publish(np.concatenate([packed.keys_raw, raw_keys]),
+                      np.concatenate([packed.values_raw, values]))
+
+    def _entries(self, keys, object_ids,
+                 reference_distances) -> tuple[np.ndarray, np.ndarray]:
+        """Validated ``(n, key_bytes)`` key bytes and ``(n, record)``
+        leaf-record bytes, in input order."""
+        raw_keys = self._raw_keys(keys)
         object_ids = np.asarray(object_ids, dtype=np.int64)
         reference_distances = np.asarray(reference_distances,
                                          dtype=np.float32)
-        n = keys.shape[0]
+        n = raw_keys.shape[0]
         if object_ids.shape[0] != n or reference_distances.shape[0] != n:
             raise ValueError("keys, ids and distances must align")
-        if reference_distances.shape[1] != self.num_references:
+        if (reference_distances.ndim != 2
+                or reference_distances.shape[1] != self.num_references):
             raise ValueError(
                 f"expected {self.num_references} reference distances, got "
-                f"{reference_distances.shape[1]}")
-        pack = self._record.pack
-        if raw_keys is not None:
-            # Big-endian fixed-width keys: bytewise order == numeric order,
-            # so a stable argsort on an 'S' view gives the same permutation
-            # as the numeric sorts below.
-            order = np.argsort(
-                raw_keys.view(f"S{raw_keys.shape[1]}").ravel(),
-                kind="stable")
-            entries = (
-                (raw_keys[i].tobytes(),
-                 pack(int(object_ids[i]), *reference_distances[i]))
-                for i in order
-            )
-            self.tree.bulk_load(entries)
-            return
-        if self.curve.key_bits <= 64:
-            # η·ω ≤ 64: keys fit a machine word, so the sort is a single
-            # numpy argsort instead of a Python comparison sort over
-            # object-dtype big ints (stable, to match the fallback).
-            order = np.argsort(keys.astype(np.uint64), kind="stable")
-        else:
-            order = sorted(range(n), key=lambda i: keys[i])
-        encode_key = self._key_codec.encode
-        entries = (
-            (encode_key(int(keys[i])),
-             pack(int(object_ids[i]), *reference_distances[i]))
-            for i in order
-        )
-        self.tree.bulk_load(entries)
+                f"{reference_distances.shape[1:]}")
+        records = np.empty(n, dtype=self.record_dtype)
+        records["id"] = object_ids
+        records["ref"] = reference_distances
+        return raw_keys, records.view(np.uint8).reshape(
+            n, self.record_dtype.itemsize)
 
-    def insert(self, key: int, object_id: int,
-               reference_distances: np.ndarray) -> None:
-        """Insert one object (Sec. 3.6 update path)."""
-        reference_distances = np.asarray(reference_distances,
-                                         dtype=np.float32).ravel()
-        if reference_distances.shape[0] != self.num_references:
+    def _raw_keys(self, keys) -> np.ndarray:
+        width = self._key_codec.width
+        if not (isinstance(keys, np.ndarray) and keys.dtype == np.uint8):
+            encode = self._key_codec.encode
+            raw = b"".join(encode(int(key)) for key in
+                           np.atleast_1d(np.asarray(keys, dtype=object)))
+            keys = np.frombuffer(raw, dtype=np.uint8).reshape(-1, width)
+        if keys.ndim != 2 or keys.shape[1] != width:
             raise ValueError(
-                f"expected {self.num_references} reference distances")
-        self.tree.insert(
-            self._key_codec.encode(int(key)),
-            self._record.pack(int(object_id), *reference_distances))
+                f"raw keys must be {width} bytes wide, got {keys.shape}")
+        return np.ascontiguousarray(keys)
+
+    def _publish(self, raw_keys: np.ndarray, values: np.ndarray) -> None:
+        """Sort entries by key into a new segment and account the writes
+        of bulk-loading it: each leaf, then each leaf again when its
+        sibling links are set (after reading it back), then the internal
+        levels bottom-up."""
+        # Big-endian fixed-width keys: bytewise order == numeric order.
+        order = np.argsort(raw_keys.view(f"S{raw_keys.shape[1]}").ravel(),
+                           kind="stable")
+        packed = bulk_layout(self._key_codec, raw_keys[order],
+                             values[order], self.leaf_capacity,
+                             self._fanout)
+        self.packed = packed
+        sink = self._sink
+        for page_id in packed.leaf_pages.tolist():
+            sink.record_write(page_id)
+        sink.record_read_many(packed.leaf_pages)
+        for page_id in np.concatenate(
+                [packed.leaf_pages] + packed.level_pages[::-1]).tolist():
+            sink.record_write(page_id)
 
     # -- persistence -------------------------------------------------------
 
     def state(self) -> dict:
-        """Serializable state: curve geometry + B+-tree structure."""
-        return {
-            "dim": self.curve.dim,
-            "order": self.curve.order,
-            "num_references": self.num_references,
-            "tree": self.tree.state(),
-        }
+        """Serializable state: curve geometry + entry count."""
+        return {"dim": self.curve.dim, "order": self.curve.order,
+                "num_references": self.num_references, "count": len(self)}
 
     @classmethod
-    def from_state(cls, store: PageStore, state: dict,
-                   cache_pages: int = 0,
-                   page_size: int = DEFAULT_PAGE_SIZE) -> "RDBTree":
-        """Re-open an RDB-tree over an existing page store."""
+    def from_arrays(cls, state: dict, arrays: dict[str, np.ndarray],
+                    cache_pages: int = 0,
+                    page_size: int = DEFAULT_PAGE_SIZE) -> "RDBTree":
+        """Reopen a tree from :meth:`state` and its segment's
+        ``PackedTree.to_arrays()`` (views stay zero-copy; no page is
+        read).  Also accepts format-1 state, which nests the count under
+        ``"tree"``.
+
+        Raises:
+            ValueError: If the arrays do not form a tree of the state's
+                geometry and entry count.
+        """
         curve = HilbertCurve(int(state["dim"]), int(state["order"]))
-        rdb = cls(curve, int(state["num_references"]), store=store,
-                  cache_pages=cache_pages, page_size=page_size)
-        rdb.tree = BPlusTree.from_state(
-            rdb._key_codec, rdb.tree.value_codec, store, state["tree"],
-            cache_pages=cache_pages)
-        return rdb
+        tree = cls(curve, int(state["num_references"]),
+                   cache_pages=cache_pages, page_size=page_size)
+        count = int(state["count"] if "count" in state
+                    else state["tree"]["count"])
+        packed = PackedTree.from_arrays(tree._key_codec, arrays)
+        expected = ((count, tree._key_codec.width),
+                    (count, tree.record_dtype.itemsize))
+        found = (packed.keys_raw.shape, packed.values_raw.shape)
+        if found != expected or int(packed.leaf_starts[-1]) != count:
+            raise ValueError(
+                f"entry arrays {found} (leaves ending at "
+                f"{int(packed.leaf_starts[-1])}) do not match {expected}")
+        tree.packed = packed
+        return tree
 
     # -- querying -----------------------------------------------------------
 
@@ -172,65 +224,91 @@ class RDBTree:
         native output).  Returns (object_ids, reference_distances) with
         shapes (α',) and (α', m), α' ≤ α when the tree is small.
         """
+        packed = self.packed
+        positions = packed.nearest_positions(self._raw_key(query_key),
+                                             alpha, self._sink)
+        records = packed.values_raw.reshape(-1).view(self.record_dtype)
+        return (records["id"][positions].astype(np.int64),
+                records["ref"][positions].astype(np.float64))
+
+    def _raw_key(self, query_key) -> bytes:
         if isinstance(query_key, (bytes, bytearray, np.bytes_)):
-            raw_key = bytes(query_key)
-        else:
-            raw_key = self._key_codec.encode(int(query_key))
-        positions = self.tree.nearest_positions(raw_key, alpha)
-        if positions is not None:
-            # Packed fast path: slice the pre-decoded record arrays instead
-            # of materialising per-entry byte pairs.
-            object_ids, reference_view = self._packed_records()
-            if positions.size == 0:
-                return (np.empty(0, dtype=np.int64),
-                        np.empty((0, self.num_references), dtype=np.float64))
-            return (object_ids[positions],
-                    reference_view[positions].astype(np.float64))
-        raw = self.tree.nearest(raw_key, alpha)
-        count = len(raw)
-        if count == 0:
-            return (np.empty(0, dtype=np.int64),
-                    np.empty((0, self.num_references), dtype=np.float64))
-        # One frombuffer decode of all leaf records beats per-row
-        # struct.unpack by an order of magnitude at α = 4096.
-        records = np.frombuffer(b"".join(value for _, value in raw),
-                                dtype=self._record_dtype, count=count)
-        object_ids = records["id"].astype(np.int64)
-        distances = records["ref"].astype(np.float64)
-        return object_ids, distances
-
-    def _packed_records(self) -> tuple[np.ndarray, np.ndarray]:
-        """Structured views over the packed value bytes, cached per mirror."""
-        packed = self.tree.packed_layout
-        cached = self._records_cache
-        if cached is not None and cached[0] is packed:
-            return cached[1], cached[2]
-        records = packed.values_raw.reshape(-1).view(self._record_dtype)
-        object_ids = records["id"].astype(np.int64)
-        reference_view = records["ref"]
-        self._records_cache = (packed, object_ids, reference_view)
-        return object_ids, reference_view
-
-    def repack(self) -> bool:
-        """Rebuild the packed fast path after inserts (counted tree walk)."""
-        self._records_cache = None
-        return self.tree.repack()
+            return bytes(query_key)
+        return self._key_codec.encode(int(query_key))
 
     # -- accounting -------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self.tree)
+        return self.packed.count
 
     @property
     def height(self) -> int:
-        return self.tree.height
+        packed = self.packed
+        return len(packed.level_pages) + 1 if packed.count else 0
 
     @property
-    def stats(self):
-        return self.tree.stats
+    def num_pages(self) -> int:
+        """Pages of the node layout the segment stands for."""
+        packed = self.packed
+        return sum(pages.shape[0]
+                   for pages in [packed.leaf_pages, *packed.level_pages])
 
     def size_bytes(self) -> int:
-        return self.tree.size_bytes()
+        """On-disk footprint of the node layout (Table 5's index size)."""
+        return self.num_pages * self.page_size
 
     def memory_bytes(self) -> int:
-        return self.tree.memory_bytes()
+        """Resident RAM the page cache models (0 with caching off)."""
+        return 0 if self.cache is None else (
+            self.cache.cached_pages() * self.page_size)
+
+
+def bulk_layout(key_codec: Codec, keys_raw: np.ndarray,
+                values_raw: np.ndarray, per_leaf: int,
+                fanout: int) -> PackedTree:
+    """Lay key-sorted entries out exactly as :meth:`BPlusTree.bulk_load`
+    pages them on a fresh store: full leaves of ``per_leaf`` entries (the
+    last one partial) on pages ``0 .. L-1``, then each internal level,
+    bottom-up, grouping ``fanout`` children per node on the next free
+    pages."""
+    count = int(keys_raw.shape[0])
+    nodes = -(-count // per_leaf)
+    leaf_starts = np.minimum(
+        np.arange(nodes + 1, dtype=np.int64) * per_leaf, count)
+    leaf_pages = np.arange(nodes, dtype=np.int64)
+    level_pages: list[np.ndarray] = []
+    level_starts: list[np.ndarray] = []
+    next_page = nodes
+    while nodes > 1:
+        groups = -(-nodes // fanout)
+        level_pages.insert(0, np.arange(next_page, next_page + groups,
+                                        dtype=np.int64))
+        level_starts.insert(0, np.minimum(
+            np.arange(groups + 1, dtype=np.int64) * fanout, nodes))
+        next_page += groups
+        nodes = groups
+    return PackedTree(key_codec, keys_raw, values_raw, leaf_starts,
+                      leaf_pages, level_pages, level_starts)
+
+
+def node_oracle(tree: RDBTree) -> BPlusTree:
+    """A node :class:`~repro.btree.tree.BPlusTree` bulk-loaded from an
+    RDB-tree's packed entries, with the same leaf order Ω and page size.
+
+    It has the same pages, page ids, answers and read traces as the
+    segment, but reads real serialized node pages: its own packed copy
+    is dropped, so every ``nearest`` walks nodes.  The test oracle for
+    the packed read path (the sanitizer, ``bench_hotpath`` parity and the
+    geometry tests).
+    """
+    packed = tree.packed
+    oracle = BPlusTree(tree._key_codec,
+                       BytesCodec(tree.record_dtype.itemsize),
+                       leaf_capacity_override=tree.leaf_order,
+                       page_size=tree.page_size)
+    keys_raw, values_raw = packed.keys_raw, packed.values_raw
+    oracle.bulk_load((keys_raw[position].tobytes(),
+                      values_raw[position].tobytes())
+                     for position in range(packed.count))
+    oracle._packed = None
+    return oracle

@@ -117,7 +117,6 @@ class ShardRouter(KNNIndex):
         self.count = 0
         self._build_stats = BuildStats()
         self._query_stats = QueryStats()
-        self._manifest_dirty = False
         # Online-update state (repro.wal): one router-level log whose
         # records carry the target shard; shards never log individually.
         self.generation = 0
@@ -208,59 +207,47 @@ class ShardRouter(KNNIndex):
             # sharded snapshot is immediately reopenable.
             from repro.core.persistence import save_index
             save_index(self, self.params.storage_dir)
-            self._manifest_dirty = False
-
-    def _sync_manifest(self) -> None:
-        """Keep the auto-persisted snapshot reopenable after updates
-        (legacy write path only).
-
-        With WAL mode active the snapshot is *already* durable — every
-        mutation is one log frame, replayed on reopen — so there is
-        nothing to sync and no pool to restart.  On the legacy path a
-        process-execution router re-persists the whole snapshot before
-        the next query, mirroring :meth:`HDIndex._sync_snapshot`.
-        """
-        if self._wal_active():
-            return
-        if not self._manifest_dirty or self.execution.kind != "process":
-            return
-        for shard in self.shards:
-            shard._sync_snapshot()
-        from repro.core.persistence import save_index
-        save_index(self, self.params.storage_dir)
-        self._manifest_dirty = False
 
     # -- online updates (repro.wal) ---------------------------------------
 
     def _wal_active(self) -> bool:
-        """True when inserts/deletes flow through the router-level
-        write-ahead log instead of mutating shard snapshots."""
+        """True when inserts/deletes are (to be) logged to the
+        router-level write-ahead log."""
         if self._wal is not None:
             return True
         if self._wal_policy is not None:
             return self._wal_policy
         return self.execution.kind == "process"
 
-    def _ensure_wal(self) -> None:
-        if self._wal is None:
+    def _log(self):
+        """The router-level write-ahead log — attached on first use when
+        the policy asks for one — or ``None``."""
+        if self._wal is None and self._wal_active():
             from repro.wal.manager import enable_router_wal
             enable_router_wal(self)
+        return self._wal
 
     def compact(self) -> int:
-        """Fold every shard's WAL delta into a new snapshot generation,
-        publish the per-shard ``CURRENT`` pointers, atomically rewrite
-        the manifest, truncate the log, and hot-swap the shards onto the
-        new generations.
+        """Fold every shard's delta segment into its RDB-trees.
+
+        With a write-ahead log each folded shard is written as a new
+        snapshot generation, the per-shard ``CURRENT`` pointers are
+        published, the manifest is atomically rewritten, the log is
+        truncated, and the shards hot-swap onto the new generations.
+        Without a log every shard folds in place (a process-execution
+        router then re-saves its snapshot).
 
         Returns:
-            The new generation number.
+            The generation number now live.
         """
         self._require_built()
-        if not self._wal_active():
-            raise RuntimeError(
-                "compact() requires WAL-mode updates; build with "
-                "Execution(wal=True) or process execution")
-        self._ensure_wal()
+        if self._log() is None:
+            for shard in self.shards:
+                shard.compact()
+            if self.execution.kind == "process":
+                from repro.core.persistence import save_index
+                save_index(self, self.params.storage_dir)
+            return self.generation
         from repro.wal.manager import compact_router, resolve_snapshot_dir
         generation = compact_router(self)
         for shard_index, shard in enumerate(self.shards):
@@ -290,7 +277,6 @@ class ShardRouter(KNNIndex):
         self._require_built()
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        self._sync_manifest()
         started = time.perf_counter()
         all_ids: list[np.ndarray] = []
         all_dists: list[np.ndarray] = []
@@ -321,7 +307,6 @@ class ShardRouter(KNNIndex):
         self._require_built()
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        self._sync_manifest()
         started = time.perf_counter()
         points = np.asarray(points, dtype=np.float64)
         if points.ndim == 1:
@@ -379,40 +364,31 @@ class ShardRouter(KNNIndex):
     def insert(self, vector: np.ndarray, metadata=None) -> int:
         """Route the insert to the least-loaded shard; return a global id.
 
-        With WAL mode active (:mod:`repro.wal`) the write costs one log
-        frame — the record carries the target shard (and the metadata
-        dict, when the deployment is filtered) — plus an in-memory delta
-        row in that shard; no snapshot is rewritten and no worker pool
-        restarts.
+        The row lands in that shard's delta segment (exact until the next
+        :meth:`compact`); with a write-ahead log attached the write also
+        costs one log frame, which carries the target shard (and the
+        metadata dict, when the deployment is filtered).  No snapshot is
+        rewritten and no worker pool restarts.
         """
         self._require_built()
-        sizes = [shard.count for shard in self.shards]
-        target = int(np.argmin(sizes))
-        if self._wal_active():
-            self._ensure_wal()
-            vector = np.asarray(vector, dtype=np.float64).ravel()
-            if vector.shape[0] != self.dim:
-                raise ValueError(
-                    f"vector has dimension {vector.shape[0]}, "
-                    f"expected {self.dim}")
-            if self.params.metric == "angular":
-                require_normalized(vector[None, :], "vector")
-            self.shards[target]._check_insert_metadata(metadata)
-            global_id = self.count
-            self._wal.append_insert(global_id, vector, shard=target,
-                                    metadata=metadata)
-            self.shards[target]._delta_insert(vector, metadata)
-            self._id_maps[target].append(global_id)
-            self._id_arrays[target] = None
-            self.count += 1
-            self._bump_update_epoch()
-            return global_id
-        self.shards[target].insert(vector, metadata)
+        vector = np.asarray(vector, dtype=np.float64).ravel()
+        if vector.shape[0] != self.dim:
+            raise ValueError(
+                f"vector has dimension {vector.shape[0]}, "
+                f"expected {self.dim}")
+        if self.params.metric == "angular":
+            require_normalized(vector[None, :], "vector")
+        target = int(np.argmin([shard.count for shard in self.shards]))
+        self.shards[target]._check_insert_metadata(metadata)
+        log = self._log()
         global_id = self.count
+        if log is not None:
+            log.append_insert(global_id, vector, shard=target,
+                              metadata=metadata)
+        self.shards[target]._delta_insert(vector, metadata)
         self._id_maps[target].append(global_id)
         self._id_arrays[target] = None
         self.count += 1
-        self._manifest_dirty = True
         self._bump_update_epoch()
         return global_id
 
@@ -428,16 +404,12 @@ class ShardRouter(KNNIndex):
         (Sec. 3.6 update path, distributed)."""
         self._require_built()
         shard_index, local_id = self._locate(int(object_id))
-        if self._wal_active():
-            self._ensure_wal()
-            shard = self.shards[shard_index]
-            self._wal.append_delete(int(object_id), shard=shard_index)
-            with shard._update_lock:
-                shard._deleted.add(int(local_id))
-            self._bump_update_epoch()
-            return
-        self.shards[shard_index].delete(local_id)
-        self._manifest_dirty = True
+        log = self._log()
+        if log is not None:
+            log.append_delete(int(object_id), shard=shard_index)
+        shard = self.shards[shard_index]
+        with shard._update_lock:
+            shard._deleted.add(int(local_id))
         self._bump_update_epoch()
 
     def _require_built(self) -> None:

@@ -144,11 +144,12 @@ class Execution:
         is declared wedged (:class:`~repro.core.procpool.WorkerTimeout`);
         ``None`` disables the guard.
     wal:
-        Online-update policy (:mod:`repro.wal`).  ``True`` routes
-        ``insert``/``delete`` through a write-ahead log + in-memory
-        delta segment (requires ``storage_dir``), so a write costs one
-        log frame instead of a snapshot rewrite; ``False`` forces the
-        legacy mark-dirty/resync path; ``None`` (default) lets the
+        Write-ahead-log policy (:mod:`repro.wal`).  Inserts always land
+        in an in-memory delta segment; ``True`` also logs every
+        ``insert``/``delete`` to a write-ahead log beside the snapshot
+        (requires ``storage_dir``) so they survive a crash; ``False``
+        attaches no log (un-folded inserts live only in memory until
+        ``compact()`` or ``save_index``); ``None`` (default) lets the
         runtime decide — WAL state on disk, or process execution, turns
         it on.
 

@@ -10,7 +10,7 @@ column kinds cover the predicate algebra:
 
 Columns are plain numpy arrays, so predicate masks are single
 vectorised comparisons, and persistence is the same RPAK container the
-packed-tree sidecars use (:func:`~repro.storage.codecs.pack_arrays`):
+packed tree files use (:func:`~repro.storage.codecs.pack_arrays`):
 one ``metadata.packed`` file next to the snapshot, loaded as bytes on
 the file backend and as a zero-copy ``np.memmap`` view on the mmap
 backend — process-pool workers mapping the same snapshot share the

@@ -4,11 +4,15 @@ The paper's experiments explicitly *disable* buffering and caching "for
 fairness" (Sec. 5, Evaluation Metrics).  The buffer pool here therefore
 supports ``capacity=0`` — every read goes to the store — as well as a normal
 LRU mode used by the buffering ablation bench to quantify what caching hides.
+:class:`TraceCache` is the same LRU for structures that keep no pages at all
+(the packed RDB-trees): it replays their synthetic page trace.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
+
+import numpy as np
 
 from repro.storage.pages import PageStore
 
@@ -87,3 +91,40 @@ class BufferPool:
         self._cache.move_to_end(page_id)
         while len(self._cache) > self.capacity:
             self._cache.popitem(last=False)
+
+
+class TraceCache:
+    """LRU over page *ids*: replays a synthetic page trace (the packed
+    RDB-trees hold no pages) exactly as a write-through
+    :class:`BufferPool` of ``capacity`` pages would see it — a resident
+    id is a cache hit, anything else a physical access in ``stats``."""
+
+    def __init__(self, stats, capacity: int) -> None:
+        self.stats = stats
+        self.capacity = capacity
+        self._resident: OrderedDict[int, None] = OrderedDict()
+
+    def record_read_many(self, page_ids) -> None:
+        for page_id in np.asarray(page_ids).tolist():
+            if page_id in self._resident:
+                self.stats.record_cache_hit()
+            else:
+                self.stats.record_read(page_id)
+            self._touch(page_id)
+
+    def record_write(self, page_id: int) -> None:
+        self.stats.record_write(page_id)
+        self._touch(page_id)
+
+    def clear(self) -> None:
+        """Drop every resident id (e.g. between build and query phases)."""
+        self._resident.clear()
+
+    def cached_pages(self) -> int:
+        return len(self._resident)
+
+    def _touch(self, page_id: int) -> None:
+        self._resident[page_id] = None
+        self._resident.move_to_end(page_id)
+        if len(self._resident) > self.capacity:
+            self._resident.popitem(last=False)

@@ -140,7 +140,7 @@ def pack_arrays(arrays: dict[str, np.ndarray]) -> bytes:
     byte offset per array), then each array's raw bytes at a 64-byte-aligned
     offset.  The alignment means :func:`unpack_arrays` over an mmap'd file
     yields views that are safe for any dtype and page-friendly — the
-    packed-tree sidecars are shared zero-copy across the process pool this
+    packed tree files are shared zero-copy across the process pool this
     way.
     """
     entries = []

@@ -1,10 +1,11 @@
 """In-memory delta segment: un-compacted inserts searched beside the base.
 
-WAL-mode inserts never touch the built RDB-trees or the descriptor heap;
-they land here and in the log.  The query engine unions the delta's id
-range into the survivor set (the delta is brute-force reranked — every
-delta member reaches stage iii, where the exact distance decides), and
-:meth:`gather` serves their descriptors during the rerank fetch.
+Inserts never touch the built RDB-trees or the descriptor heap; they
+land here (and in the log, when one is attached).  The query engine
+unions the delta's id range into the survivor set (the delta is
+brute-force reranked — every delta member reaches stage iii, where the
+exact distance decides), and :meth:`gather` serves their descriptors
+during the rerank fetch.
 
 Two copies of each vector are kept deliberately:
 

@@ -35,7 +35,6 @@ import shutil
 
 import numpy as np
 
-from repro.wal.delta import DeltaSegment
 from repro.wal.log import WalError, WalRecord, WriteAheadLog, replay_wal
 
 __all__ = [
@@ -178,9 +177,7 @@ def enable_wal(index, root: str | os.PathLike[str] | None = None,
         index._wal = WriteAheadLog(
             wal_path(root), fsync=fsync or getattr(index, "_wal_fsync",
                                                    "always"))
-    if index._delta is None:
-        index._delta = DeltaSegment(len(index.heap), index.dim,
-                                    index.heap.dtype)
+    index._ensure_delta()
 
 
 def enable_router_wal(router, fsync: str | None = None) -> None:
@@ -201,9 +198,7 @@ def enable_router_wal(router, fsync: str | None = None) -> None:
                                                    "always"))
     for shard in router.shards:
         shard._wal_policy = False
-        if shard._delta is None:
-            shard._delta = DeltaSegment(len(shard.heap), shard.dim,
-                                        shard.heap.dtype)
+        shard._ensure_delta()
 
 
 def attach_wal(index, root: str | os.PathLike[str],
@@ -215,11 +210,10 @@ def attach_wal(index, root: str | os.PathLike[str],
             :class:`~repro.core.router.ShardRouter`.
         root: The snapshot *root* (the directory :func:`load_index` was
             given, not the resolved generation directory).
-        wal: Per-call override — ``True`` forces WAL mode, ``False``
-            forces the legacy dirty-resync path, ``None`` honours the
-            snapshot's recorded policy, falling back to auto-detection:
-            WAL state on disk, or process execution (whose pre-WAL write
-            path paid a full resync + pool restart per burst).
+        wal: Per-call override — ``True`` attaches the log, ``False``
+            attaches none, ``None`` honours the snapshot's recorded
+            policy, falling back to auto-detection: WAL state on disk,
+            or process execution.
     """
     root = os.fspath(root)
     if wal is not None:
@@ -319,7 +313,10 @@ def fold_generation(source: str, dest: str,
     """Write a new self-contained generation: the ``source`` snapshot
     plus ``records`` folded into the trees and heap.
 
-    Every record is re-inserted from its original float64 descriptor —
+    The source is copied and reopened without a log, the records become
+    its delta rows, and :func:`~repro.core.persistence.save_index` folds
+    them — the same batch merge :meth:`HDIndex.compact` runs in place.
+    Every record is folded from its original float64 descriptor —
     including later-deleted ones, so object ids stay dense and match an
     index built from the full stream in one shot.  Records carrying
     metadata fold it into the generation's metadata store the same way.
@@ -351,16 +348,9 @@ def fold_generation(source: str, dest: str,
                 raise WalError(
                     f"compaction id gap: record {object_id} but folded "
                     f"count is {folded.count}")
-            assigned = folded.insert(vector, metadata)
-            if assigned != object_id:
-                raise WalError(
-                    f"compaction assigned id {assigned} to record "
-                    f"{object_id}")
+            folded._delta_insert(vector, metadata)
         folded._deleted = set(int(i) for i in deleted)
-        for tree in folded.trees:
-            tree.repack()
         folded.generation = int(generation)
-        folded._snapshot_dirty = False
         save_index(folded, dest)
     finally:
         folded.close()
@@ -439,7 +429,6 @@ def compact_router(router) -> int:
     router.generation = next_generation
     _write_manifest(router, root)
     router._wal.truncate()
-    router._manifest_dirty = False
     return next_generation
 
 

@@ -9,6 +9,7 @@ from repro.core import (
     HDIndexParams,
     IndexSpec,
     create_index,
+    save_index,
 )
 
 
@@ -108,9 +109,14 @@ class TestDiskBackedIndex:
         data, queries = workload
         index = HDIndex(params(storage_dir=str(tmp_path / "hd")))
         index.build(data)
+        # The heap is file-backed from the start; each RDB-tree is one
+        # packed segment file, written when the index is saved.
+        save_index(index, tmp_path / "hd")
         files = sorted(p.name for p in (tmp_path / "hd").iterdir())
         assert "descriptors.pages" in files
         assert sum(name.startswith("tree_") for name in files) == 4
+        assert all(name.endswith(".packed")
+                   for name in files if name.startswith("tree_"))
         ids, _ = index.query(queries[0], 5)
         assert len(ids) == 5
         index.close()
@@ -131,7 +137,12 @@ class TestDiskBackedIndex:
         data, _ = workload
         index = HDIndex(params(storage_dir=str(tmp_path / "hd3")))
         index.build(data)
+        # The heap file is the only file-backed component of a built
+        # index; the trees' size_bytes() is their node layout (Table 5).
         on_disk = sum(p.stat().st_size
                       for p in (tmp_path / "hd3").iterdir())
-        assert on_disk == index.total_size_bytes()
+        assert on_disk == index.heap.size_bytes()
+        assert index.total_size_bytes() == (
+            on_disk + sum(tree.num_pages * tree.page_size
+                          for tree in index.trees))
         index.close()

@@ -94,7 +94,7 @@ class TestSaveLoad:
         index.build(data)
         save_index(index, tmp_path / "index")
         meta = json.loads((tmp_path / "index" / "meta.json").read_text())
-        assert meta["format_version"] == 1
+        assert meta["format_version"] == 2
         assert meta["dim"] == 16
         assert meta["count"] == len(data)
         assert len(meta["trees"]) == 4

@@ -379,7 +379,6 @@ class TestNoResyncOnWritePath:
             index.delete(5)
             assert resets == []
             assert saves == []
-            assert not index._snapshot_dirty
             oracle = _oracle(np.vstack([_base_data(), _extra(29, 8)]), {5})
             _assert_parity(index, oracle, _base_data()[:3])
             oracle.close()
@@ -398,7 +397,6 @@ class TestNoResyncOnWritePath:
             for vector in _extra(31, 6):
                 router.insert(vector)
             router.delete(9)
-            assert not router._manifest_dirty
             assert (directory / "manifest.json").read_bytes() \
                 == manifest_before
             oracle = _oracle(np.vstack([_base_data(), _extra(31, 6)]), {9})
